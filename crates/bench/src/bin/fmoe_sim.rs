@@ -14,11 +14,23 @@
 //! ```
 //!
 //! Everything prints as a table and writes CSV under `results/`.
+//!
+//! `timeline` records one request into the engine's `TraceSink` and
+//! prints the iteration, layer, prefetch, on-demand, in-flight, peer-fetch
+//! and budget-pressure events one per line. The recorder clamps
+//! timestamps to be monotone, so an event stamped before one already
+//! recorded prints at that later instant, as the Chrome-trace export
+//! shows it: a prefetch that landed between two engine observations
+//! prints where the engine absorbed it, and an on-demand load issued
+//! alongside another link's load prints where that load's transfer was
+//! recorded. `prefetch issued` lines print the scheduled issue time,
+//! which the marker carries in its value.
 
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
-use fmoe_model::{presets, ModelConfig};
+use fmoe_model::{presets, ExpertId, ModelConfig};
 use fmoe_serving::online::{serve as serve_online, ServeOptions};
+use fmoe_trace::{Marker, Nanos, Phase, TraceEvent, TraceRecord, TraceSink};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -87,20 +99,24 @@ fn timeline(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(p) = history.first() {
         let _ = engine.serve_request(*p, predictor.as_mut());
     }
-    engine.set_timeline_enabled(true);
+    engine.set_trace_sink(TraceSink::recording(1 << 18));
     let mut p = *test.first().ok_or("no test prompt available")?;
     p.output_tokens = p.output_tokens.min(3);
     let metrics = engine.serve_request(p, predictor.as_mut());
-    let entries = engine.take_timeline();
+    let lines = timeline_lines(&engine.trace_sink().take_records());
     println!(
         "timeline of request {} on {} with {} ({} events):
 ",
         metrics.request_id,
         cell.model.name,
         cell.system.name(),
-        entries.len()
+        lines.len()
     );
-    print!("{}", fmoe_serving::timeline::render(&entries));
+    let base = lines.first().map_or(0, |&(at, _)| at);
+    for (at, desc) in &lines {
+        let ms = at.saturating_sub(base) as f64 / 1e6;
+        println!("+{ms:>10.3} ms  {desc}");
+    }
     println!(
         "
 TTFT {:.1} ms, TPOT {:.1} ms, hit rate {:.1}%",
@@ -109,6 +125,67 @@ TTFT {:.1} ms, TPOT {:.1} ms, hit rate {:.1}%",
         metrics.hit_rate() * 100.0
     );
     Ok(())
+}
+
+/// The timeline's events in trace order, each with the instant it
+/// prints at. Iterations are numbered from 0; a layer starts where its
+/// gate span starts. The transfer engine marks a degraded load on the
+/// link, not the expert, so it is attributed to the on-demand load just
+/// issued.
+fn timeline_lines(records: &[TraceRecord]) -> Vec<(Nanos, String)> {
+    let mut lines = Vec::new();
+    let mut iterations = 0u64;
+    let mut last_on_demand = None;
+    for r in records {
+        let line = match r.event {
+            TraceEvent::Begin {
+                phase: Phase::Iteration,
+                ..
+            } => {
+                iterations += 1;
+                (r.at_ns, format!("iteration {} start", iterations - 1))
+            }
+            TraceEvent::End {
+                phase: Phase::Iteration,
+                ..
+            } => (r.at_ns, "iteration end".to_string()),
+            TraceEvent::Span {
+                phase: Phase::Gate,
+                layer,
+                dur_ns,
+                ..
+            } => (r.at_ns.saturating_sub(dur_ns), format!("  layer {layer}")),
+            TraceEvent::Instant {
+                marker,
+                layer,
+                slot,
+                value,
+                ..
+            } => {
+                let e = ExpertId::new(layer, slot);
+                match marker {
+                    Marker::PrefetchIssued => (value, format!("    prefetch issued   {e}")),
+                    Marker::PrefetchArrived => (r.at_ns, format!("    prefetch arrived  {e}")),
+                    Marker::OnDemandLoad => {
+                        last_on_demand = Some(e);
+                        (r.at_ns, format!("    ON-DEMAND load    {e}"))
+                    }
+                    Marker::InFlightWait => (r.at_ns, format!("    wait in-flight    {e}")),
+                    Marker::OnDemandDegraded => match last_on_demand {
+                        Some(e) => (r.at_ns, format!("    DEGRADED load     {e}")),
+                        None => continue,
+                    },
+                    Marker::PrefetchFailed => (r.at_ns, format!("    prefetch FAILED   {e}")),
+                    Marker::PeerFetch => (r.at_ns, format!("    peer fetch        {e}")),
+                    Marker::BudgetPressure => (r.at_ns, format!("  budget pressure -> {value} B")),
+                    _ => continue,
+                }
+            }
+            _ => continue,
+        };
+        lines.push(line);
+    }
+    lines
 }
 
 fn analyze_store(flags: &HashMap<String, String>) -> Result<(), String> {

@@ -186,20 +186,6 @@ impl Iterator for IndexIter<'_> {
     }
 }
 
-/// How experts map to home GPUs under expert parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum Placement {
-    /// Round-robin over the dense expert index — the paper's §5 choice,
-    /// which spreads every layer's experts across all links.
-    #[default]
-    RoundRobin,
-    /// Contiguous layer blocks: each GPU owns a slab of consecutive
-    /// layers (the naive pipeline-style placement; the ablation shows why
-    /// the paper avoids it — a layer's on-demand loads serialize on one
-    /// link).
-    LayerContiguous,
-}
-
 /// Result of attempting to insert an expert.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -219,9 +205,10 @@ pub enum InsertOutcome {
 /// A byte-budgeted expert cache spanning one or more GPUs.
 ///
 /// Every expert has a fixed home GPU assigned round-robin over its dense
-/// index (the paper's §5 expert-parallel placement); budgets and evictions
-/// are per-GPU. Pinned experts (the ones executing in the current layer)
-/// are never chosen as victims.
+/// index (the paper's §5 expert-parallel placement) unless an owner table
+/// is installed with [`ExpertCache::set_assignment`]; budgets and
+/// evictions are per-GPU. Pinned experts (the ones executing in the
+/// current layer) are never chosen as victims.
 ///
 /// ```
 /// use fmoe_cache::{ExpertCache, LruPolicy, InsertOutcome};
@@ -244,12 +231,10 @@ pub enum InsertOutcome {
 #[derive(Debug)]
 pub struct ExpertCache {
     experts_per_layer: u32,
-    num_layers: u32,
     expert_bytes: u64,
     num_gpus: u32,
-    placement: Placement,
     /// Optional explicit owner table (dense expert index → GPU) installed
-    /// by a placement policy; overrides `placement` when present.
+    /// by a placement policy; round-robin applies when absent.
     assignment: Option<Vec<u32>>,
     per_gpu_budget: u64,
     per_gpu_used: Vec<u64>,
@@ -291,10 +276,8 @@ impl ExpertCache {
         assert!(num_gpus > 0, "need at least one GPU");
         Self {
             experts_per_layer: config.experts_per_layer,
-            num_layers: config.num_layers,
             expert_bytes: config.expert_bytes(),
             num_gpus,
-            placement: Placement::RoundRobin,
             assignment: None,
             per_gpu_budget: total_budget_bytes / u64::from(num_gpus),
             per_gpu_used: vec![0; num_gpus as usize],
@@ -340,46 +323,29 @@ impl ExpertCache {
         );
     }
 
-    /// Switches the expert-parallel placement scheme (ablations; the
-    /// paper's choice is round-robin).
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Installs an explicit owner table produced by a placement policy:
     /// `owners[dense_index]` is the expert's home GPU. Entries are
     /// clamped to the GPU count; experts past the table's end fall back
-    /// to the structural placement. With no table installed (the
-    /// default) behavior is byte-identical to the structural placement.
+    /// to round-robin. With no table installed (the default) every
+    /// expert is placed round-robin.
     pub fn set_assignment(&mut self, owners: Vec<u32>) {
         self.assignment = Some(owners);
     }
 
-    /// The installed explicit owner table, if any.
-    #[must_use]
-    pub fn assignment(&self) -> Option<&[u32]> {
-        self.assignment.as_deref()
-    }
-
-    /// The home GPU index of an expert under the configured placement.
+    /// The home GPU index of an expert: the installed owner table's
+    /// entry, or round-robin over the dense index (the paper's §5
+    /// placement) when no table covers it.
     #[must_use]
     pub fn home_gpu(&self, expert: ExpertId) -> u32 {
-        if let Some(owners) = &self.assignment {
-            if let Some(&gpu) = owners.get(expert.dense_index(self.experts_per_layer)) {
-                return gpu.min(self.num_gpus.saturating_sub(1));
-            }
+        let dense = expert.dense_index(self.experts_per_layer);
+        if let Some(&gpu) = self
+            .assignment
+            .as_ref()
+            .and_then(|owners| owners.get(dense))
+        {
+            return gpu.min(self.num_gpus.saturating_sub(1));
         }
-        match self.placement {
-            Placement::RoundRobin => {
-                (expert.dense_index(self.experts_per_layer) % self.num_gpus as usize) as u32
-            }
-            Placement::LayerContiguous => {
-                (u64::from(expert.layer) * u64::from(self.num_gpus)
-                    / u64::from(self.num_layers.max(1))) as u32
-            }
-        }
+        (dense % self.num_gpus as usize) as u32
     }
 
     /// Bytes one expert occupies.
@@ -897,22 +863,6 @@ mod tests {
     fn pin_nonresident_returns_false() {
         let mut c = tiny_cache(1, 1);
         assert!(!c.pin(e(0, 0)));
-    }
-
-    #[test]
-    fn layer_contiguous_placement_groups_layers() {
-        let cfg = presets::tiny_test_model(); // 4 layers x 4 experts
-        let c = ExpertCache::new(&cfg, cfg.expert_bytes() * 16, 2, Box::new(LruPolicy::new()))
-            .with_placement(Placement::LayerContiguous);
-        // Layers 0..2 on GPU 0, layers 2..4 on GPU 1.
-        assert_eq!(c.home_gpu(e(0, 0)), 0);
-        assert_eq!(c.home_gpu(e(0, 3)), 0);
-        assert_eq!(c.home_gpu(e(1, 2)), 0);
-        assert_eq!(c.home_gpu(e(2, 0)), 1);
-        assert_eq!(c.home_gpu(e(3, 3)), 1);
-        // Round-robin spreads within a layer instead.
-        let rr = ExpertCache::new(&cfg, cfg.expert_bytes() * 16, 2, Box::new(LruPolicy::new()));
-        assert_ne!(rr.home_gpu(e(0, 0)), rr.home_gpu(e(0, 1)));
     }
 
     #[test]

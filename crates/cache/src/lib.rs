@@ -34,7 +34,7 @@ pub mod policy;
 pub mod sharded;
 pub mod stats;
 
-pub use cache::{ExpertCache, InsertOutcome, Placement};
+pub use cache::{ExpertCache, InsertOutcome};
 pub use policy::{
     EvictionPolicy, FifoPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy, PolicyKind, SievePolicy,
 };

@@ -146,15 +146,6 @@ pub struct OnDemandOutcome {
     pub retries: u32,
 }
 
-/// Class of a transfer, for statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum TransferClass {
-    /// Background prefetch (overlaps compute).
-    Prefetch,
-    /// Blocking on-demand load (expert miss).
-    OnDemand,
-}
-
 /// A completed prefetch job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -464,6 +455,15 @@ struct OnDemandProjection {
     backoff_ns: Nanos,
 }
 
+/// Which counters a blocking load is booked under.
+#[derive(Debug, Clone, Copy)]
+enum BlockingLoad {
+    /// A miss the forward pass is waiting on.
+    OnDemand,
+    /// Warm-restart cache seeding.
+    Warmup,
+}
+
 impl TransferEngine {
     /// Creates an engine with one independent host link per GPU in the
     /// topology.
@@ -603,34 +603,8 @@ impl TransferEngine {
     /// until the policy's cap, then completes regardless — an on-demand
     /// load cannot be abandoned, the forward pass needs the weights).
     pub fn on_demand_load(&mut self, gpu: GpuId, bytes: u64, now: Nanos) -> Nanos {
-        self.advance_to(now);
-        let done = match &self.faults {
-            None => now + self.links[gpu.index()].link.transfer_time(bytes),
-            Some(_) => {
-                let od_tag = self.next_on_demand_tag();
-                let proj = self.project_on_demand(gpu, od_tag, bytes, now);
-                self.account_on_demand_retries(&proj);
-                proj.done
-            }
-        };
-        let link = self.link_mut(gpu);
-        // The prefetch queue is frozen during [now, done): simply declare
-        // the link already synced to `done` without giving jobs progress.
-        link.synced_at = done;
-        self.stats.on_demand_loads += 1;
-        self.stats.on_demand_bytes += bytes;
-        self.stats.on_demand_blocked_ns += done - now;
-        self.trace.span(
-            done,
-            Phase::Transfer,
-            NO_REQUEST,
-            NO_LAYER,
-            gpu.0,
-            done - now,
-            bytes,
-        );
-        self.trace.count("transfer.on_demand_loads", 1);
-        done
+        self.blocking_load(gpu, bytes, now, Nanos::MAX, bytes, BlockingLoad::OnDemand)
+            .completed_at
     }
 
     /// A warm-restart seeding transfer: one bulk load of `bytes` onto
@@ -644,32 +618,8 @@ impl TransferEngine {
     /// distinguishable from steady-state miss servicing. Faults on the
     /// link (degradation windows, transient failures) apply as usual.
     pub fn warmup_load(&mut self, gpu: GpuId, bytes: u64, now: Nanos) -> Nanos {
-        self.advance_to(now);
-        let done = match &self.faults {
-            None => now + self.links[gpu.index()].link.transfer_time(bytes),
-            Some(_) => {
-                let od_tag = self.next_on_demand_tag();
-                let proj = self.project_on_demand(gpu, od_tag, bytes, now);
-                self.account_on_demand_retries(&proj);
-                proj.done
-            }
-        };
-        let link = self.link_mut(gpu);
-        link.synced_at = done;
-        self.stats.warmup_loads += 1;
-        self.stats.warmup_bytes += bytes;
-        self.stats.warmup_ns += done - now;
-        self.trace.span(
-            done,
-            Phase::Transfer,
-            NO_REQUEST,
-            NO_LAYER,
-            gpu.0,
-            done - now,
-            bytes,
-        );
-        self.trace.count("transfer.warmup_loads", 1);
-        done
+        self.blocking_load(gpu, bytes, now, Nanos::MAX, bytes, BlockingLoad::Warmup)
+            .completed_at
     }
 
     /// Like [`Self::on_demand_load`], but with a completion deadline and
@@ -690,6 +640,28 @@ impl TransferEngine {
         fallback_bytes: u64,
     ) -> Result<OnDemandOutcome, TransferError> {
         self.check_gpu(gpu)?;
+        Ok(self.blocking_load(
+            gpu,
+            bytes,
+            now,
+            deadline,
+            fallback_bytes,
+            BlockingLoad::OnDemand,
+        ))
+    }
+
+    /// The one body behind every blocking load: the link's prefetch
+    /// queue freezes while the payload moves. A `deadline` of
+    /// `Nanos::MAX` never degrades or misses.
+    fn blocking_load(
+        &mut self,
+        gpu: GpuId,
+        bytes: u64,
+        now: Nanos,
+        deadline: Nanos,
+        fallback_bytes: u64,
+        kind: BlockingLoad,
+    ) -> OnDemandOutcome {
         self.advance_to(now);
         // One logical load = one on-demand identity, even when both the
         // full and fallback payloads are projected: faults, retries, and
@@ -716,11 +688,22 @@ impl TransferEngine {
         let retries = chosen.retries;
         let missed_deadline = done > deadline;
         self.account_on_demand_retries(&chosen);
+        // The prefetch queue is frozen during [now, done): simply declare
+        // the link already synced to `done` without giving jobs progress.
         let link = self.link_mut(gpu);
         link.synced_at = done;
-        self.stats.on_demand_loads += 1;
-        self.stats.on_demand_bytes += bytes_loaded;
-        self.stats.on_demand_blocked_ns += done - now;
+        match kind {
+            BlockingLoad::OnDemand => {
+                self.stats.on_demand_loads += 1;
+                self.stats.on_demand_bytes += bytes_loaded;
+                self.stats.on_demand_blocked_ns += done - now;
+            }
+            BlockingLoad::Warmup => {
+                self.stats.warmup_loads += 1;
+                self.stats.warmup_bytes += bytes_loaded;
+                self.stats.warmup_ns += done - now;
+            }
+        }
         if degraded {
             self.stats.degraded_on_demand += 1;
         }
@@ -736,7 +719,13 @@ impl TransferEngine {
             done - now,
             bytes_loaded,
         );
-        self.trace.count("transfer.on_demand_loads", 1);
+        self.trace.count(
+            match kind {
+                BlockingLoad::OnDemand => "transfer.on_demand_loads",
+                BlockingLoad::Warmup => "transfer.warmup_loads",
+            },
+            1,
+        );
         if degraded {
             self.trace.instant(
                 done,
@@ -761,13 +750,13 @@ impl TransferEngine {
             );
             self.trace.count("transfer.missed_deadlines", 1);
         }
-        Ok(OnDemandOutcome {
+        OnDemandOutcome {
             completed_at: done,
             bytes_loaded,
             degraded,
             missed_deadline,
             retries,
-        })
+        }
     }
 
     /// Allocates the next on-demand identity. The high bit marks the tag

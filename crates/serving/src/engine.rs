@@ -25,7 +25,6 @@
 use crate::metrics::{Breakdown, PerGpuBreakdown, RequestMetrics};
 use crate::placement::PlacementPolicy;
 use crate::predictor::{ExpertPredictor, IterationContext, PrefetchPlan};
-use crate::timeline::{Timeline, TimelineEvent};
 use fmoe_cache::{EvictionPolicy, ExpertCache, InsertOutcome, ShardedExpertCache};
 use fmoe_memsim::{
     all2all_layer_time, FaultSchedule, GpuId, Nanos, RetryPolicy, Topology, TransferEngine,
@@ -55,9 +54,6 @@ pub struct EngineConfig {
     /// paper builds on — the paper notes all systems' latency "is
     /// inherently impacted by MoE-Infinity's implementation", §6.2).
     pub framework_overhead_per_layer_ns: Nanos,
-    /// Expert-parallel placement scheme (the paper's §5 round-robin by
-    /// default; `LayerContiguous` exists for the placement ablation).
-    pub placement: fmoe_cache::Placement,
     /// KV-cache-aware budgeting (off by default): when set, the expert
     /// cache's effective budget each iteration is `cache_budget_bytes`
     /// minus the live KV-cache bytes of the active batch — experts yield
@@ -145,7 +141,6 @@ impl EngineConfig {
             max_decode_iterations: None,
             context_collection_ns: 1_200_000,           // 1.2 ms
             framework_overhead_per_layer_ns: 3_000_000, // 3 ms/layer host dispatch
-            placement: fmoe_cache::Placement::RoundRobin,
             kv_aware_budget: false,
             low_precision_threshold: None,
             on_demand_deadline_ns: None,
@@ -395,6 +390,24 @@ impl EpState {
 }
 
 impl Element {
+    /// The finished request's metrics.
+    fn metrics(&self) -> RequestMetrics {
+        let ttft = self.ttft_ns.unwrap_or(self.finished_ns - self.start_ns);
+        let total = self.finished_ns - self.start_ns;
+        RequestMetrics {
+            request_id: self.prompt.id,
+            ttft_ns: ttft,
+            decode_ns: total - ttft,
+            decode_iterations: self.decode_iterations,
+            total_ns: total,
+            expert_hits: self.hits,
+            expert_misses: self.misses,
+            degraded_hits: self.degraded_hits,
+            degraded_loads: self.degraded_loads,
+            served_degraded: self.degraded,
+        }
+    }
+
     fn span(&self) -> TokenSpan {
         if self.iteration == 0 {
             TokenSpan::prefill(self.prompt.prompt_tokens)
@@ -460,8 +473,6 @@ pub struct ServingEngine {
     free_slots: Vec<usize>,
     /// Next fresh slot id for the continuous batch.
     next_slot: usize,
-    /// Optional execution-timeline recorder.
-    timeline: Timeline,
     /// Prefetched experts staged for a layer that has not executed yet:
     /// pinned so eviction cannot undo a deliberate prefetch before use
     /// (all real offloading runtimes protect staged weights this way).
@@ -513,7 +524,6 @@ pub struct EngineBuilder {
     trace_sink: Option<TraceSink>,
     fault_schedule: Option<FaultSchedule>,
     retry_policy: Option<RetryPolicy>,
-    timeline: bool,
     host_cache: Option<Arc<ShardedExpertCache>>,
     assignment: Option<Vec<u32>>,
 }
@@ -532,7 +542,6 @@ impl EngineBuilder {
             trace_sink: None,
             fault_schedule: None,
             retry_policy: None,
-            timeline: false,
             host_cache: None,
             assignment: None,
         }
@@ -558,9 +567,9 @@ impl EngineBuilder {
 
     /// Computes and installs an expert owner table from a
     /// [`PlacementPolicy`] evaluated against this builder's model and
-    /// topology. Overrides the structural
-    /// [`fmoe_cache::Placement`] for `home_gpu` and everything
-    /// downstream of it (caching, transfers, all2all routing).
+    /// topology. Replaces the default round-robin placement for
+    /// `home_gpu` and everything downstream of it (caching, transfers,
+    /// all2all routing).
     #[must_use]
     pub fn placement_policy(mut self, policy: &dyn PlacementPolicy) -> Self {
         self.assignment = Some(policy.assign(self.gate.config(), self.topology.num_gpus));
@@ -638,13 +647,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables execution-timeline recording (default: off).
-    #[must_use]
-    pub fn timeline(mut self, enabled: bool) -> Self {
-        self.timeline = enabled;
-        self
-    }
-
     /// Builds the engine, delegating to [`ServingEngine::new`] and the
     /// existing setters so builder-built and hand-assembled engines are
     /// indistinguishable.
@@ -660,9 +662,6 @@ impl EngineBuilder {
         }
         if let Some(retry) = self.retry_policy {
             engine.set_retry_policy(retry);
-        }
-        if self.timeline {
-            engine.set_timeline_enabled(true);
         }
         if let Some(host) = self.host_cache {
             engine.set_shared_host_cache(host);
@@ -693,8 +692,7 @@ impl ServingEngine {
         let model = gate.config().clone();
         let num_experts = model.num_layers as usize * model.experts_per_layer as usize;
         let mut cache =
-            ExpertCache::new(&model, config.cache_budget_bytes, topology.num_gpus, policy)
-                .with_placement(config.placement);
+            ExpertCache::new(&model, config.cache_budget_bytes, topology.num_gpus, policy);
         if config.index_mode == IndexMode::Reference {
             cache = cache.with_reference_index();
         }
@@ -715,7 +713,6 @@ impl ServingEngine {
             active: Vec::new(),
             free_slots: Vec::new(),
             next_slot: 0,
-            timeline: Timeline::default(),
             staged: DenseIdSet::with_capacity(num_experts),
             breakdown: Breakdown::default(),
             config,
@@ -798,11 +795,6 @@ impl ServingEngine {
         self.cache.set_assignment(owners);
     }
 
-    /// Enables or disables execution-timeline recording.
-    pub fn set_timeline_enabled(&mut self, enabled: bool) {
-        self.timeline.set_enabled(enabled);
-    }
-
     /// Installs a trace sink. Clones of the handle are forwarded to the
     /// transfer engine and expert cache so engine spans, wire activity,
     /// and cache churn land in one shared timeline. Pass
@@ -833,11 +825,6 @@ impl ServingEngine {
     #[must_use]
     pub fn shared_host_cache(&self) -> Option<&Arc<ShardedExpertCache>> {
         self.host_cache.as_ref()
-    }
-
-    /// Takes the recorded timeline entries.
-    pub fn take_timeline(&mut self) -> Vec<crate::timeline::TimelineEntry> {
-        self.timeline.take()
     }
 
     /// Retunes the expert-cache budget at runtime (SwapMoE-style tunable
@@ -965,20 +952,28 @@ impl ServingEngine {
             self.next_slot += 1;
             s
         });
-        let total = match self.config.max_decode_iterations {
+        let element = self.new_element(prompt, slot, self.clock.now());
+        self.active.push(element);
+        slot
+    }
+
+    /// A fresh element in batch slot `slot`, admitted at `start_ns`,
+    /// under this engine's decode cap and degraded mode.
+    fn new_element(&self, prompt: Prompt, slot: usize, start_ns: Nanos) -> Element {
+        let total_iterations = match self.config.max_decode_iterations {
             Some(cap) => prompt.iterations().min(1 + cap),
             None => prompt.iterations(),
         };
-        self.active.push(Element {
+        Element {
             prompt,
             slot,
             iteration: 0,
             position: 0,
-            total_iterations: total,
+            total_iterations,
             done: false,
-            start_ns: self.clock.now(),
+            start_ns,
             ttft_ns: None,
-            finished_ns: self.clock.now(),
+            finished_ns: start_ns,
             decode_iterations: 0,
             hits: 0,
             misses: 0,
@@ -988,8 +983,7 @@ impl ServingEngine {
             realized_map: Vec::new(),
             embedding: Vec::new(),
             activated: Vec::new(),
-        });
-        slot
+        }
     }
 
     /// Runs **one** lockstep iteration over the continuous batch and
@@ -1005,20 +999,7 @@ impl ServingEngine {
         for e in elements {
             if e.done {
                 self.free_slots.push(e.slot);
-                let ttft = e.ttft_ns.unwrap_or(e.finished_ns - e.start_ns);
-                let total = e.finished_ns - e.start_ns;
-                finished.push(RequestMetrics {
-                    request_id: e.prompt.id,
-                    ttft_ns: ttft,
-                    decode_ns: total - ttft,
-                    decode_iterations: e.decode_iterations,
-                    total_ns: total,
-                    expert_hits: e.hits,
-                    expert_misses: e.misses,
-                    degraded_hits: e.degraded_hits,
-                    degraded_loads: e.degraded_loads,
-                    served_degraded: e.degraded,
-                });
+                finished.push(e.metrics());
             } else {
                 self.active.push(e);
             }
@@ -1108,60 +1089,18 @@ impl ServingEngine {
             return Err(ServeError::BatchActive);
         }
         let start = self.clock.now();
+        // Slot = input index, so predictor-visible slots are stable.
         let mut elements: Vec<Element> = prompts
             .iter()
             .enumerate()
-            .map(|(slot, &prompt)| {
-                let total = match self.config.max_decode_iterations {
-                    Some(cap) => prompt.iterations().min(1 + cap),
-                    None => prompt.iterations(),
-                };
-                Element {
-                    prompt,
-                    slot,
-                    iteration: 0,
-                    position: 0,
-                    total_iterations: total,
-                    done: false,
-                    start_ns: start,
-                    ttft_ns: None,
-                    finished_ns: start,
-                    decode_iterations: 0,
-                    hits: 0,
-                    misses: 0,
-                    degraded_hits: 0,
-                    degraded_loads: 0,
-                    degraded: self.degraded_mode,
-                    realized_map: Vec::new(),
-                    embedding: Vec::new(),
-                    activated: Vec::new(),
-                }
-            })
+            .map(|(slot, &prompt)| self.new_element(prompt, slot, start))
             .collect();
 
         while elements.iter().any(|e| !e.done) {
             self.run_iteration(&mut elements, predictor);
         }
 
-        Ok(elements
-            .into_iter()
-            .map(|e| {
-                let ttft = e.ttft_ns.unwrap_or(e.finished_ns - e.start_ns);
-                let total = e.finished_ns - e.start_ns;
-                RequestMetrics {
-                    request_id: e.prompt.id,
-                    ttft_ns: ttft,
-                    decode_ns: total - ttft,
-                    decode_iterations: e.decode_iterations,
-                    total_ns: total,
-                    expert_hits: e.hits,
-                    expert_misses: e.misses,
-                    degraded_hits: e.degraded_hits,
-                    degraded_loads: e.degraded_loads,
-                    served_degraded: e.degraded,
-                }
-            })
-            .collect())
+        Ok(elements.iter().map(Element::metrics).collect())
     }
 
     /// Runs one lockstep iteration over all live elements.
@@ -1172,17 +1111,6 @@ impl ServingEngine {
         self.trace
             .begin(iter_start, Phase::Iteration, NO_REQUEST, NO_LAYER);
         self.trace.count("engine.iterations", 1);
-        self.timeline.record(
-            iter_start,
-            TimelineEvent::IterationStart {
-                iteration: elements
-                    .iter()
-                    .filter(|e| !e.done)
-                    .map(|e| e.iteration)
-                    .min()
-                    .unwrap_or(0),
-            },
-        );
         let timing = predictor.timing();
         self.breakdown.matching_synchronous = timing.synchronous;
         let num_layers = self.gate.config().num_layers;
@@ -1258,12 +1186,6 @@ impl ServingEngine {
                 effective = effective.saturating_sub(live_kv);
             }
             if pressure < 1.0 {
-                self.timeline.record(
-                    self.clock.now(),
-                    TimelineEvent::BudgetPressure {
-                        effective_bytes: effective,
-                    },
-                );
                 self.trace.instant(
                     self.clock.now(),
                     Marker::BudgetPressure,
@@ -1314,8 +1236,6 @@ impl ServingEngine {
             if layer > 0 {
                 self.prune_stale_prefetches(Some(layer), &mut scratch.stale);
             }
-            self.timeline
-                .record(self.clock.now(), TimelineEvent::LayerStart { layer });
             // Attention + gate + always-on shared experts + host dispatch.
             let compute = self.cost.attention_time(batch_tokens, context_len)
                 + self.cost.gate_time(batch_tokens)
@@ -1520,8 +1440,6 @@ impl ServingEngine {
                 for &e in waited_inflight {
                     let gpu = self.cache.home_gpu(e);
                     let tag = e.dense_index(j) as u64;
-                    self.timeline
-                        .record(start, TimelineEvent::InFlightWait { expert: e });
                     self.trace.instant(
                         start,
                         Marker::InFlightWait,
@@ -1564,8 +1482,6 @@ impl ServingEngine {
                     if let Some(ep) = self.ep.as_mut() {
                         if ep.config.peer_fetch && ep.take(d) {
                             let done = t0 + self.topology.peer_link.transfer_time(want);
-                            self.timeline
-                                .record(t0, TimelineEvent::PeerFetch { expert: e });
                             self.trace.instant(
                                 t0,
                                 Marker::PeerFetch,
@@ -1583,15 +1499,11 @@ impl ServingEngine {
                             }
                             if want < bytes && !loaded.contains(d) {
                                 loaded.insert(d, want);
-                                self.timeline
-                                    .record(t0, TimelineEvent::OnDemandDegraded { expert: e });
                             }
                             per_gpu_now[gpu as usize] = Some(done);
                             continue;
                         }
                     }
-                    self.timeline
-                        .record(t0, TimelineEvent::OnDemandLoad { expert: e });
                     self.trace.instant(
                         t0,
                         Marker::OnDemandLoad,
@@ -1627,10 +1539,6 @@ impl ServingEngine {
                     };
                     if want < bytes && !loaded.contains(d) {
                         loaded.insert(d, want);
-                    }
-                    if loaded.contains(d) {
-                        self.timeline
-                            .record(t0, TimelineEvent::OnDemandDegraded { expert: e });
                     }
                     if let Some(t) = self.per_gpu.transfer_ns.get_mut(gpu as usize) {
                         *t += done.saturating_sub(t0);
@@ -1804,8 +1712,6 @@ impl ServingEngine {
         }
 
         self.breakdown.iteration_total_ns += self.clock.now() - iter_start;
-        self.timeline
-            .record(self.clock.now(), TimelineEvent::IterationEnd);
         self.trace
             .end(self.clock.now(), Phase::Iteration, NO_REQUEST, NO_LAYER);
         // Hand the working memory back for the next iteration; the
@@ -1902,12 +1808,6 @@ impl ServingEngine {
             }
             let gpu = GpuId(self.cache.home_gpu(plan.expert));
             self.transfer.submit_prefetch(gpu, tag, bytes, at);
-            self.timeline.record(
-                at,
-                TimelineEvent::PrefetchIssued {
-                    expert: plan.expert,
-                },
-            );
             // Recorded at `now`, not at the (possibly future) issue time:
             // the recorder's timeline is monotone and a future stamp would
             // drag later events forward. The scheduled issue time rides in
@@ -1971,8 +1871,6 @@ impl ServingEngine {
             }
             let expert = ExpertId::from_dense_index(c.tag as usize, j);
             self.breakdown.prefetch_async_ns += self.topology.host_link.wire_time(c.bytes);
-            self.timeline
-                .record(c.completed_at, TimelineEvent::PrefetchArrived { expert });
             self.trace.instant(
                 c.completed_at,
                 Marker::PrefetchArrived,
@@ -2007,8 +1905,6 @@ impl ServingEngine {
         for f in self.transfer.drain_failures() {
             if self.in_flight.remove(f.tag as usize) {
                 let expert = ExpertId::from_dense_index(f.tag as usize, j);
-                self.timeline
-                    .record(f.failed_at, TimelineEvent::PrefetchFailed { expert });
                 self.trace.instant(
                     f.failed_at,
                     Marker::PrefetchFailed,
@@ -2030,6 +1926,7 @@ mod tests {
     use crate::predictor::NoPrefetch;
     use fmoe_cache::LruPolicy;
     use fmoe_model::{presets, GateParams};
+    use fmoe_trace::{TraceEvent, TraceRecord};
     use fmoe_workload::DatasetSpec;
 
     fn tiny_engine(cache_slots_total: u64, preload: bool) -> ServingEngine {
@@ -2056,6 +1953,26 @@ mod tests {
 
     fn prompt(id: u64) -> Prompt {
         DatasetSpec::tiny_test().prompt(id)
+    }
+
+    /// Installs a recording trace sink and returns a handle to it.
+    fn record_trace(e: &mut ServingEngine) -> TraceSink {
+        let sink = TraceSink::recording(1 << 16);
+        e.set_trace_sink(sink.clone());
+        sink
+    }
+
+    /// Values of every `marker` instant in `records`, in order.
+    fn marker_values(records: &[TraceRecord], marker: Marker) -> Vec<u64> {
+        records
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Instant {
+                    marker: m, value, ..
+                } if m == marker => Some(value),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -2158,34 +2075,39 @@ mod tests {
 
     #[test]
     fn timeline_records_a_consistent_execution_trace() {
-        use crate::timeline::TimelineEvent;
         let mut e = tiny_engine(8, false);
-        e.set_timeline_enabled(true);
+        let sink = record_trace(&mut e);
         let _ = e.serve_request(prompt(12), &mut NoPrefetch);
-        let entries = e.take_timeline();
-        assert!(!entries.is_empty());
+        let records = sink.take_records();
+        assert!(!records.is_empty());
         // Timestamps are monotone.
-        for w in entries.windows(2) {
+        for w in records.windows(2) {
             assert!(w[0].at_ns <= w[1].at_ns);
         }
-        // Iteration starts and ends pair up; layers appear in order
-        // within each iteration; a cold cache shows on-demand loads.
-        let starts = entries
-            .iter()
-            .filter(|x| matches!(x.event, TimelineEvent::IterationStart { .. }))
-            .count();
-        let ends = entries
-            .iter()
-            .filter(|x| matches!(x.event, TimelineEvent::IterationEnd))
-            .count();
-        assert_eq!(starts, ends);
-        assert!(entries
-            .iter()
-            .any(|x| matches!(x.event, TimelineEvent::OnDemandLoad { .. })));
-        // Disabled again: nothing accrues.
-        e.set_timeline_enabled(false);
+        // Iteration begins and ends pair up; a cold cache shows
+        // on-demand loads.
+        let (mut begins, mut ends) = (0, 0);
+        for r in &records {
+            match r.event {
+                TraceEvent::Begin {
+                    phase: Phase::Iteration,
+                    ..
+                } => begins += 1,
+                TraceEvent::End {
+                    phase: Phase::Iteration,
+                    ..
+                } => ends += 1,
+                _ => {}
+            }
+        }
+        assert!(begins > 0);
+        assert_eq!(begins, ends);
+        assert!(!marker_values(&records, Marker::OnDemandLoad).is_empty());
+        // A disabled sink: nothing accrues, not even in the old handle.
+        e.set_trace_sink(TraceSink::disabled());
         let _ = e.serve_request(prompt(13), &mut NoPrefetch);
-        assert!(e.take_timeline().is_empty());
+        assert!(e.trace_sink().take_records().is_empty());
+        assert!(sink.take_records().is_empty());
     }
 
     #[test]
@@ -2268,17 +2190,14 @@ mod tests {
         with_deadline.set_fault_schedule(schedule);
         // Tighter than any transfer on the crippled link can manage.
         with_deadline.config.on_demand_deadline_ns = Some(1_000);
-        with_deadline.set_timeline_enabled(true);
+        let sink = record_trace(&mut with_deadline);
         let bounded = with_deadline.serve_request(prompt(33), &mut NoPrefetch);
         assert!(
             bounded.degraded_loads > 0,
             "the crippled link cannot meet the deadline at full precision"
         );
         assert!(bounded.total_ns < slow.total_ns);
-        assert!(with_deadline
-            .take_timeline()
-            .iter()
-            .any(|x| matches!(x.event, TimelineEvent::OnDemandDegraded { .. })));
+        assert!(!marker_values(&sink.take_records(), Marker::OnDemandDegraded).is_empty());
     }
 
     #[test]
@@ -2288,17 +2207,11 @@ mod tests {
             .build();
         let mut e = tiny_engine(8, false);
         e.set_fault_schedule(schedule);
-        e.set_timeline_enabled(true);
+        let sink = record_trace(&mut e);
         let m = e.serve_request(prompt(34), &mut NoPrefetch);
         assert!(m.total_ns > 0, "pressure degrades but never wedges");
-        let entries = e.take_timeline();
-        let squeezed: Vec<u64> = entries
-            .iter()
-            .filter_map(|x| match x.event {
-                TimelineEvent::BudgetPressure { effective_bytes } => Some(effective_bytes),
-                _ => None,
-            })
-            .collect();
+        // The marker's value is the effective budget after the squeeze.
+        let squeezed = marker_values(&sink.take_records(), Marker::BudgetPressure);
         assert!(!squeezed.is_empty(), "pressure window must be recorded");
         for b in squeezed {
             assert!(b < e.cache_budget());
@@ -2358,16 +2271,13 @@ mod tests {
             base_backoff_ns: 1_000,
             max_backoff_ns: 1_000,
         });
-        e.set_timeline_enabled(true);
+        let sink = record_trace(&mut e);
         let m = e.serve_request(prompt(35), &mut NextLayerPrefetch);
         assert!(m.total_ns > 0);
         let stats = e.transfer_stats();
         assert!(stats.failed_jobs > 0, "prefetches must die under rate 1.0");
         assert!(stats.faults_injected > 0);
-        assert!(e
-            .take_timeline()
-            .iter()
-            .any(|x| matches!(x.event, TimelineEvent::PrefetchFailed { .. })));
+        assert!(!marker_values(&sink.take_records(), Marker::PrefetchFailed).is_empty());
 
         // With the default policy the same storm shows up as retries and
         // backoff time instead of permanent failures.

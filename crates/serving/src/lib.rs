@@ -27,7 +27,6 @@ pub mod metrics;
 pub mod online;
 pub mod placement;
 pub mod predictor;
-pub mod timeline;
 
 pub use engine::{
     EngineBuilder, EngineConfig, ExpertParallelConfig, IndexMode, ServeError, ServingEngine,
@@ -38,10 +37,10 @@ pub use online::{
     ShedRequest, SloAction, SloPolicy,
 };
 pub use placement::{
-    FmoeMapPlacement, LoadBalancedPlacement, PlacementPolicy, RoundRobinPlacement,
+    FmoeMapPlacement, LayerContiguousPlacement, LoadBalancedPlacement, PlacementPolicy,
+    RoundRobinPlacement,
 };
 pub use predictor::{ExpertPredictor, IterationContext, NoPrefetch, PredictorTiming, PrefetchPlan};
-pub use timeline::{Timeline, TimelineEntry, TimelineEvent};
 
 #[cfg(test)]
 mod proptests;

@@ -20,6 +20,9 @@
 //!   layer* using predicted activation probabilities, so no single
 //!   layer's hot experts pile onto one GPU and bottleneck that layer's
 //!   all2all.
+//!
+//! A fourth, [`LayerContiguousPlacement`], is the naive pipeline-style
+//! layout the placement ablation compares round-robin against.
 
 use fmoe_model::ModelConfig;
 
@@ -51,6 +54,32 @@ impl PlacementPolicy for RoundRobinPlacement {
         }
         let total = model.num_layers as usize * model.experts_per_layer as usize;
         (0..total).map(|d| (d % num_gpus as usize) as u32).collect()
+    }
+}
+
+/// Contiguous layer blocks: each GPU owns a slab of consecutive layers
+/// (the naive pipeline-style placement). The placement ablation uses it
+/// to show why the paper avoids it — a layer's on-demand loads all
+/// serialize on one link.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LayerContiguousPlacement;
+
+impl PlacementPolicy for LayerContiguousPlacement {
+    fn name(&self) -> &'static str {
+        "layer-contiguous"
+    }
+
+    fn assign(&self, model: &ModelConfig, num_gpus: u32) -> Vec<u32> {
+        if num_gpus == 0 {
+            return Vec::new();
+        }
+        let layers = u64::from(model.num_layers.max(1));
+        (0..model.num_layers)
+            .flat_map(|layer| {
+                let gpu = (u64::from(layer) * u64::from(num_gpus) / layers) as u32;
+                (0..model.experts_per_layer).map(move |_| gpu)
+            })
+            .collect()
     }
 }
 
@@ -201,7 +230,7 @@ impl PlacementPolicy for FmoeMapPlacement {
 mod tests {
     use super::*;
     use fmoe_memsim::Topology;
-    use fmoe_model::presets;
+    use fmoe_model::{presets, ExpertId};
 
     fn model() -> ModelConfig {
         presets::tiny_test_model()
@@ -210,6 +239,7 @@ mod tests {
     fn policies(freq: Vec<f64>) -> Vec<Box<dyn PlacementPolicy>> {
         vec![
             Box::new(RoundRobinPlacement),
+            Box::new(LayerContiguousPlacement),
             Box::new(LoadBalancedPlacement {
                 frequencies: freq.clone(),
             }),
@@ -283,6 +313,23 @@ mod tests {
         for (dense, &gpu) in owners.iter().enumerate() {
             assert_eq!(gpu, topo.round_robin_gpu(dense).0);
         }
+    }
+
+    #[test]
+    fn layer_contiguous_placement_groups_layers() {
+        let m = model(); // 4 layers x 4 experts
+        let j = m.experts_per_layer;
+        let owner = |owners: &[u32], layer, slot| owners[ExpertId::new(layer, slot).dense_index(j)];
+        let owners = LayerContiguousPlacement.assign(&m, 2);
+        // Layers 0..2 on GPU 0, layers 2..4 on GPU 1.
+        assert_eq!(owner(&owners, 0, 0), 0);
+        assert_eq!(owner(&owners, 0, 3), 0);
+        assert_eq!(owner(&owners, 1, 2), 0);
+        assert_eq!(owner(&owners, 2, 0), 1);
+        assert_eq!(owner(&owners, 3, 3), 1);
+        // Round-robin spreads within a layer instead.
+        let rr = RoundRobinPlacement.assign(&m, 2);
+        assert_ne!(owner(&rr, 0, 0), owner(&rr, 0, 1));
     }
 
     #[test]
